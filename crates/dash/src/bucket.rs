@@ -37,52 +37,71 @@ pub enum BucketInsert {
     Full,
 }
 
-/// A decoded view of one bucket, produced by a single 256 B read.
-#[derive(Debug, Clone)]
-pub struct BucketSnapshot {
-    /// Fingerprint per slot (0 = empty).
-    pub fps: [u8; SLOTS],
-    /// Records (valid only where `fps[i] != 0`).
-    pub records: [(u64, u64); SLOTS],
+/// One bucket as returned by a single 256 B read. Slots are decoded on
+/// demand: a probe compares fingerprints and decodes only the records whose
+/// fingerprint matches.
+#[derive(Debug, Clone, Copy)]
+pub struct BucketSnapshot<'a> {
+    bytes: &'a [u8],
 }
 
-impl BucketSnapshot {
+impl<'a> BucketSnapshot<'a> {
+    /// Fingerprint of `slot` (0 = empty).
+    #[inline]
+    pub fn fp(&self, slot: usize) -> u8 {
+        self.bytes[slot]
+    }
+
+    /// `(key, value)` of `slot` (meaningful only where `fp(slot) != 0`).
+    #[inline]
+    pub fn record(&self, slot: usize) -> (u64, u64) {
+        (self.word(slot, 0), self.word(slot, 8))
+    }
+
+    #[inline]
+    fn word(&self, slot: usize, at: usize) -> u64 {
+        let base = (REC_OFF + slot as u64 * REC_SIZE) as usize + at;
+        u64::from_le_bytes(self.bytes[base..base + 8].try_into().expect("8 bytes"))
+    }
+
     /// Number of occupied slots.
     pub fn occupancy(&self) -> usize {
-        self.fps.iter().filter(|fp| **fp != 0).count()
+        self.bytes[..SLOTS].iter().filter(|fp| **fp != 0).count()
     }
 
     /// Slot holding `key` if the fingerprint matches and the key compares
-    /// equal.
+    /// equal. Only fingerprint-matching slots have their key decoded.
+    #[inline]
     pub fn find(&self, fp: u8, key: u64) -> Option<usize> {
-        (0..SLOTS).find(|&i| self.fps[i] == fp && self.records[i].0 == key)
+        (0..SLOTS).find(|&i| self.bytes[i] == fp && self.word(i, 0) == key)
+    }
+
+    /// Value stored under `key`, if present.
+    #[inline]
+    pub fn lookup(&self, fp: u8, key: u64) -> Option<u64> {
+        self.find(fp, key).map(|slot| self.word(slot, 8))
     }
 
     /// First empty slot.
     pub fn free_slot(&self) -> Option<usize> {
-        (0..SLOTS).find(|&i| self.fps[i] == 0)
+        (0..SLOTS).find(|&i| self.bytes[i] == 0)
     }
 
     /// Iterate live `(slot, key, value)` triples.
-    pub fn live(&self) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
-        (0..SLOTS)
-            .filter(|&i| self.fps[i] != 0)
-            .map(|i| (i, self.records[i].0, self.records[i].1))
+    pub fn live(self) -> impl Iterator<Item = (usize, u64, u64)> + 'a {
+        (0..SLOTS).filter(move |&i| self.fp(i) != 0).map(move |i| {
+            let (k, v) = self.record(i);
+            (i, k, v)
+        })
     }
 }
 
 /// Read a whole bucket with one 256 B access (the PMEM-friendly probe).
-pub fn load(region: &Region, bucket_off: u64) -> BucketSnapshot {
-    let bytes = region.read(bucket_off, BUCKET_BYTES, AccessHint::Random);
-    let mut fps = [0u8; SLOTS];
-    fps.copy_from_slice(&bytes[..SLOTS]);
-    let mut records = [(0u64, 0u64); SLOTS];
-    for (i, rec) in records.iter_mut().enumerate() {
-        let base = (REC_OFF + i as u64 * REC_SIZE) as usize;
-        rec.0 = u64::from_le_bytes(bytes[base..base + 8].try_into().expect("8 bytes"));
-        rec.1 = u64::from_le_bytes(bytes[base + 8..base + 16].try_into().expect("8 bytes"));
+#[inline]
+pub fn load(region: &Region, bucket_off: u64) -> BucketSnapshot<'_> {
+    BucketSnapshot {
+        bytes: region.read(bucket_off, BUCKET_BYTES, AccessHint::Random),
     }
-    BucketSnapshot { fps, records }
 }
 
 /// Write + persist the record of `slot`, then its fingerprint — the
@@ -157,8 +176,8 @@ mod tests {
         let mut r = region();
         publish(&mut r, 0, 3, 0xAB, 111, 222);
         let snap = load(&r, 0);
-        assert_eq!(snap.fps[3], 0xAB);
-        assert_eq!(snap.records[3], (111, 222));
+        assert_eq!(snap.fp(3), 0xAB);
+        assert_eq!(snap.record(3), (111, 222));
         assert_eq!(snap.occupancy(), 1);
         assert_eq!(snap.find(0xAB, 111), Some(3));
         assert_eq!(snap.find(0xAB, 999), None);
@@ -172,7 +191,7 @@ mod tests {
             assert_eq!(insert(&mut r, 256, 7, k, k * 10), BucketInsert::Inserted);
         }
         assert_eq!(insert(&mut r, 256, 7, 3, 999), BucketInsert::Updated);
-        assert_eq!(load(&r, 256).records[3].1, 999);
+        assert_eq!(load(&r, 256).record(3).1, 999);
         assert_eq!(insert(&mut r, 256, 7, 10_000, 0), BucketInsert::Full);
         assert_eq!(load(&r, 256).occupancy(), SLOTS);
     }
@@ -207,7 +226,7 @@ mod tests {
         r.crash();
         let snap = load(&r, 0);
         assert_eq!(snap.find(9, 77), Some(1));
-        assert_eq!(snap.records[1].1, 88);
+        assert_eq!(snap.record(1).1, 88);
     }
 
     #[test]

@@ -93,21 +93,11 @@ impl SegmentInner {
     pub fn get(&self, h: u64, key: u64) -> Option<u64> {
         let fp = hash::fingerprint(h);
         let b = hash::bucket_index(h, BUCKETS);
-        for off in [bucket_off(b), bucket_off((b + 1) % BUCKETS)] {
-            let snap = bucket::load(&self.region, off);
-            if let Some(slot) = snap.find(fp, key) {
-                return Some(snap.records[slot].1);
-            }
-        }
-        if self.stash_used > 0 {
-            for s in 0..STASH {
-                let snap = bucket::load(&self.region, stash_off(s));
-                if let Some(slot) = snap.find(fp, key) {
-                    return Some(snap.records[slot].1);
-                }
-            }
-        }
-        None
+        let stash = if self.stash_used > 0 { 0..STASH } else { 0..0 };
+        [bucket_off(b), bucket_off((b + 1) % BUCKETS)]
+            .into_iter()
+            .chain(stash.map(stash_off))
+            .find_map(|off| bucket::load(&self.region, off).lookup(fp, key))
     }
 
     /// Insert or update.
@@ -191,8 +181,9 @@ impl SegmentInner {
     /// Try to move one record of `from` into that record's alternate
     /// bucket. Returns true if a slot was freed.
     fn displace_one(&mut self, from: u32) -> bool {
-        let snap = bucket::load(&self.region, bucket_off(from));
-        for (slot, key, value) in snap.live() {
+        let region = &self.region;
+        let full = bucket::load(region, bucket_off(from));
+        let movable = full.live().find_map(|(slot, key, value)| {
             let h = hash64(key);
             let home = hash::bucket_index(h, BUCKETS);
             let alt = if home == from {
@@ -201,26 +192,27 @@ impl SegmentInner {
                 home
             };
             if alt == from {
-                continue;
+                return None;
             }
-            let alt_snap = bucket::load(&self.region, bucket_off(alt));
-            if let Some(free) = alt_snap.free_slot() {
-                // Crash-safe move: publish the copy first, then clear the
-                // original. A crash in between leaves a duplicate, which
-                // lookups tolerate (same key/value) and splits dedupe.
-                bucket::publish(
-                    &mut self.region,
-                    bucket_off(alt),
-                    free,
-                    hash::fingerprint(h),
-                    key,
-                    value,
-                );
-                bucket::clear_slot(&mut self.region, bucket_off(from), slot);
-                return true;
-            }
-        }
-        false
+            let free = bucket::load(region, bucket_off(alt)).free_slot()?;
+            Some((slot, h, key, value, alt, free))
+        });
+        let Some((slot, h, key, value, alt, free)) = movable else {
+            return false;
+        };
+        // Crash-safe move: publish the copy first, then clear the
+        // original. A crash in between leaves a duplicate, which
+        // lookups tolerate (same key/value) and splits dedupe.
+        bucket::publish(
+            &mut self.region,
+            bucket_off(alt),
+            free,
+            hash::fingerprint(h),
+            key,
+            value,
+        );
+        bucket::clear_slot(&mut self.region, bucket_off(from), slot);
+        true
     }
 
     /// Remove a key, returning its value.
@@ -230,7 +222,7 @@ impl SegmentInner {
         for off in [bucket_off(b), bucket_off((b + 1) % BUCKETS)] {
             let snap = bucket::load(&self.region, off);
             if let Some(slot) = snap.find(fp, key) {
-                let value = snap.records[slot].1;
+                let value = snap.record(slot).1;
                 bucket::clear_slot(&mut self.region, off, slot);
                 self.count -= 1;
                 return Some(value);
@@ -240,7 +232,7 @@ impl SegmentInner {
             for s in 0..STASH {
                 let snap = bucket::load(&self.region, stash_off(s));
                 if let Some(slot) = snap.find(fp, key) {
-                    let value = snap.records[slot].1;
+                    let value = snap.record(slot).1;
                     bucket::clear_slot(&mut self.region, stash_off(s), slot);
                     self.count -= 1;
                     self.stash_used -= 1;
@@ -344,11 +336,12 @@ impl SegmentInner {
             offsets.extend((0..STASH).map(stash_off));
             let mut kept = false;
             for off in offsets {
-                let snap = bucket::load(&self.region, off);
-                for (slot, k, _) in snap.live() {
-                    if k != key {
-                        continue;
-                    }
+                let slots: Vec<usize> = bucket::load(&self.region, off)
+                    .live()
+                    .filter(|&(_, k, _)| k == key)
+                    .map(|(slot, _, _)| slot)
+                    .collect();
+                for slot in slots {
                     if kept {
                         bucket::clear_slot(&mut self.region, off, slot);
                         cleared += 1;

@@ -299,13 +299,13 @@ impl KvIndex for DashTable {
     }
 
     fn get(&self, key: u64) -> Option<u64> {
+        // The directory guard is held across the segment read (same lock
+        // order as inserts: directory, then segment), so the probe borrows
+        // the segment instead of cloning its `Arc`.
         let h = hash64(key);
         let dir = self.dir.read();
-        let idx = hash::dir_index(h, dir.global_depth);
-        let segment = Arc::clone(&dir.entries[idx]);
-        drop(dir);
-        let inner = segment.read();
-        inner.get(h, key)
+        let segment = dir.entries[hash::dir_index(h, dir.global_depth)].read();
+        segment.get(h, key)
     }
 
     fn remove(&self, key: u64) -> Option<u64> {
@@ -491,6 +491,90 @@ mod tests {
         assert_eq!(t.len(), 201);
         assert_eq!(t.remove(key), Some(1));
         assert_eq!(t.get(key), None, "removal must be final after recovery");
+    }
+
+    /// Random reads and bytes one `get` costs.
+    fn probe_cost(ns: &Namespace, t: &DashTable, key: u64) -> (u64, u64) {
+        let before = ns.tracker().snapshot();
+        let _ = t.get(key);
+        let d = ns.tracker().snapshot().since(&before);
+        assert_eq!(d.seq_read_bytes, 0, "probes are random reads");
+        assert_eq!(d.write_ops, 0);
+        (d.read_ops, d.rand_read_bytes)
+    }
+
+    #[test]
+    fn home_hit_costs_one_xpline_and_a_miss_two() {
+        let ns = ns(8);
+        let t = DashTable::new(&ns).unwrap();
+        t.insert(42, 4200).unwrap(); // an empty pair: lands in its home bucket
+        assert_eq!(probe_cost(&ns, &t, 42), (1, 256));
+        assert_eq!(t.stats().stash_records, 0);
+        assert_eq!(probe_cost(&ns, &t, 43), (2, 512));
+    }
+
+    #[test]
+    fn misses_read_the_stash_only_when_it_is_used() {
+        // Overflow one bucket pair of the single segment into its stash.
+        let colliders: Vec<u64> = (0..2_000_000u64)
+            .filter(|k| hash::bucket_index(hash64(*k), crate::segment::BUCKETS) == 5)
+            .take(3 * crate::bucket::SLOTS)
+            .collect();
+        let ns = ns(8);
+        let t = DashTable::new(&ns).unwrap();
+        for &k in &colliders {
+            t.insert(k, k + 1).unwrap();
+        }
+        assert_eq!(t.stats().segments, 1);
+        let stash = u64::from(crate::segment::STASH);
+        assert!(t.stats().stash_records > 0);
+        assert_eq!(
+            probe_cost(&ns, &t, u64::MAX),
+            (2 + stash, (2 + stash) * 256)
+        );
+        for &k in &colliders {
+            assert_eq!(t.get(k), Some(k + 1));
+        }
+    }
+
+    #[test]
+    fn same_fingerprint_keys_in_one_bucket_keep_their_own_values() {
+        // Three keys sharing fingerprint and home bucket: balanced insert
+        // puts the first and third in the home bucket, the second in the
+        // neighbour.
+        let mut cells = std::collections::HashMap::new();
+        let keys = (0..u64::MAX)
+            .find_map(|k| {
+                let h = hash64(k);
+                let cell = (
+                    hash::fingerprint(h),
+                    hash::bucket_index(h, crate::segment::BUCKETS),
+                );
+                let ks: &mut Vec<u64> = cells.entry(cell).or_default();
+                ks.push(k);
+                (ks.len() == 3).then(|| ks.clone())
+            })
+            .unwrap();
+        let ns = ns(8);
+        let t = DashTable::new(&ns).unwrap();
+        for &k in &keys {
+            t.insert(k, k * 10).unwrap();
+        }
+        let h = hash64(keys[0]);
+        let home = hash::bucket_index(h, crate::segment::BUCKETS) as u64;
+        let dir = t.dir.read();
+        let seg = dir.entries[0].read();
+        let bucket = crate::bucket::load(&seg.region, home * crate::bucket::BUCKET_BYTES);
+        let fp = hash::fingerprint(h);
+        assert_eq!(bucket.find(fp, keys[0]), Some(0));
+        assert_eq!(bucket.find(fp, keys[2]), Some(1));
+        drop(seg);
+        drop(dir);
+        for &k in &keys {
+            assert_eq!(t.get(k), Some(k * 10), "key {k}");
+        }
+        // Each hit in the home bucket is still one 256 B read.
+        assert_eq!(probe_cost(&ns, &t, keys[2]), (1, 256));
     }
 
     #[test]

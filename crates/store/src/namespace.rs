@@ -20,7 +20,7 @@ use std::sync::Arc;
 use pmem_sim::params::DeviceClass;
 use pmem_sim::topology::SocketId;
 
-use crate::region::{FaultModel, Region};
+use crate::region::Region;
 use crate::tracker::AccessTracker;
 use crate::{Result, StoreError};
 
@@ -184,15 +184,15 @@ impl Namespace {
                 Err(actual) => current = actual,
             }
         }
-        let fault = match self.inner.mode {
-            NamespaceMode::FsDax { page_bytes } => Some(Arc::new(FaultModel::new(page_bytes))),
+        let fault_page_bytes = match self.inner.mode {
+            NamespaceMode::FsDax { page_bytes } => Some(page_bytes),
             _ => None,
         };
         Ok(Region::new(
             len,
             Arc::clone(&self.inner.tracker),
             self.is_persistent(),
-            fault,
+            fault_page_bytes,
         ))
     }
 

@@ -18,7 +18,7 @@
 //! (the §2.3 devdax-vs-fsdax effect).
 
 use std::collections::HashSet;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use parking_lot::Mutex;
@@ -46,18 +46,78 @@ pub enum AccessHint {
     Auto,
 }
 
-/// fsdax page-fault state (2 MB pages by default, §2.3).
+/// fsdax page-fault state (2 MB pages by default, §2.3): one bit per page
+/// of the region, sized when the region is allocated. A page is claimed by
+/// the `fetch_or` that first sets its bit, so it faults exactly once even
+/// when threads race to touch it, and touching an already-faulted page is
+/// one relaxed load.
 #[derive(Debug)]
-pub(crate) struct FaultModel {
-    pub page_bytes: u64,
-    faulted: Mutex<HashSet<u64>>,
+struct FaultModel {
+    page_bytes: u64,
+    faulted: Box<[AtomicU64]>,
 }
 
 impl FaultModel {
-    pub(crate) fn new(page_bytes: u64) -> Self {
+    fn new(page_bytes: u64, region_len: u64) -> Self {
+        let pages = region_len.div_ceil(page_bytes);
         FaultModel {
             page_bytes,
-            faulted: Mutex::new(HashSet::new()),
+            faulted: (0..pages.div_ceil(64)).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
+    /// Mark the pages under `[offset, offset + len)` touched; returns how
+    /// many were touched for the first time. A zero-length access touches
+    /// no page. The range must lie inside the region.
+    fn touch(&self, offset: u64, len: u64) -> u64 {
+        if len == 0 {
+            return 0;
+        }
+        let first = offset / self.page_bytes;
+        let last = (offset + len - 1) / self.page_bytes;
+        let mut fresh = 0;
+        for word in first / 64..=last / 64 {
+            let lo = if word == first / 64 { first % 64 } else { 0 };
+            let hi = if word == last / 64 { last % 64 } else { 63 };
+            let mask = (u64::MAX >> (63 - hi)) & (u64::MAX << lo);
+            let bits = &self.faulted[word as usize];
+            if bits.load(Ordering::Relaxed) & mask != mask {
+                fresh += (mask & !bits.fetch_or(mask, Ordering::Relaxed)).count_ones() as u64;
+            }
+        }
+        fresh
+    }
+}
+
+/// An optional sink (access trace or persistence trace). Checking for an
+/// attached sink is one relaxed load, so untraced accesses take no lock;
+/// the lock alone orders the sink itself against attach and detach.
+#[derive(Debug)]
+struct Sink<T> {
+    attached: AtomicBool,
+    slot: Mutex<Option<Arc<T>>>,
+}
+
+impl<T> Sink<T> {
+    fn new() -> Self {
+        Sink {
+            attached: AtomicBool::new(false),
+            slot: Mutex::new(None),
+        }
+    }
+
+    fn set(&self, sink: Option<Arc<T>>) {
+        let mut slot = self.slot.lock();
+        self.attached.store(sink.is_some(), Ordering::Relaxed);
+        *slot = sink;
+    }
+
+    #[inline]
+    fn with(&self, f: impl FnOnce(&T)) {
+        if self.attached.load(Ordering::Relaxed) {
+            if let Some(sink) = self.slot.lock().as_ref() {
+                f(sink);
+            }
         }
     }
 }
@@ -79,21 +139,23 @@ pub struct Region {
     tracker: Arc<AccessTracker>,
     /// False for DRAM or Memory-Mode regions: nothing survives a crash.
     persistent: bool,
-    fault_model: Option<Arc<FaultModel>>,
+    fault_model: Option<FaultModel>,
     last_read_end: AtomicU64,
     last_write_end: AtomicU64,
     /// Optional access-trace sink (see [`crate::trace`]).
-    trace: Mutex<Option<Arc<crate::trace::TraceBuffer>>>,
+    trace: Sink<crate::trace::TraceBuffer>,
     /// Optional persistence-event sink for crash-state model checking.
-    persist_trace: Mutex<Option<Arc<crate::trace::PersistenceTrace>>>,
+    persist_trace: Sink<crate::trace::PersistenceTrace>,
 }
 
 impl Region {
+    /// A zeroed region; `fault_page_bytes` gives fsdax regions their
+    /// first-touch fault granularity (`None`: no page faults).
     pub(crate) fn new(
         len: u64,
         tracker: Arc<AccessTracker>,
         persistent: bool,
-        fault_model: Option<Arc<FaultModel>>,
+        fault_page_bytes: Option<u64>,
     ) -> Self {
         Region {
             data: vec![0; len as usize],
@@ -103,47 +165,44 @@ impl Region {
             poisoned: HashSet::new(),
             tracker,
             persistent,
-            fault_model,
+            fault_model: fault_page_bytes.map(|page| FaultModel::new(page, len)),
             last_read_end: AtomicU64::new(u64::MAX),
             last_write_end: AtomicU64::new(u64::MAX),
-            trace: Mutex::new(None),
-            persist_trace: Mutex::new(None),
+            trace: Sink::new(),
+            persist_trace: Sink::new(),
         }
     }
 
     /// Attach a trace buffer: subsequent accesses are recorded into it.
     pub fn attach_trace(&self, buffer: Arc<crate::trace::TraceBuffer>) {
-        *self.trace.lock() = Some(buffer);
+        self.trace.set(Some(buffer));
     }
 
     /// Stop tracing.
     pub fn detach_trace(&self) {
-        *self.trace.lock() = None;
+        self.trace.set(None);
     }
 
     /// Attach a persistence trace: subsequent stores, `clwb`s, and
     /// `sfence`s are recorded in order for crash-state model checking.
     pub fn attach_persist_trace(&self, trace: Arc<crate::trace::PersistenceTrace>) {
-        *self.persist_trace.lock() = Some(trace);
+        self.persist_trace.set(Some(trace));
     }
 
     /// Stop recording persistence events.
     pub fn detach_persist_trace(&self) {
-        *self.persist_trace.lock() = None;
+        self.persist_trace.set(None);
     }
 
     #[inline]
     fn record_trace(&self, offset: u64, len: u64, write: bool) {
-        if let Some(buffer) = self.trace.lock().as_ref() {
-            buffer.record(crate::trace::TraceEntry { offset, len, write });
-        }
+        self.trace
+            .with(|buffer| buffer.record(crate::trace::TraceEntry { offset, len, write }));
     }
 
     #[inline]
     fn record_persist(&self, event: impl FnOnce() -> crate::trace::PersistEvent) {
-        if let Some(trace) = self.persist_trace.lock().as_ref() {
-            trace.record(event());
-        }
+        self.persist_trace.with(|trace| trace.record(event()));
     }
 
     /// Capacity in bytes.
@@ -179,13 +238,9 @@ impl Region {
 
     fn fault_pages(&self, offset: u64, len: u64) {
         if let Some(fm) = &self.fault_model {
-            let first = offset / fm.page_bytes;
-            let last = (offset + len.max(1) - 1) / fm.page_bytes;
-            let mut faulted = fm.faulted.lock();
-            for page in first..=last {
-                if faulted.insert(page) {
-                    self.tracker.record_page_fault();
-                }
+            let fresh = fm.touch(offset, len);
+            if fresh > 0 {
+                self.tracker.record_page_faults(fresh);
             }
         }
     }
@@ -558,6 +613,10 @@ mod tests {
         Region::new(len, AccessTracker::shared(), true, None)
     }
 
+    fn fsdax_region(len: u64) -> Region {
+        Region::new(len, AccessTracker::shared(), true, Some(2 << 20))
+    }
+
     #[test]
     fn plain_store_is_lost_on_crash() {
         let mut r = region(4096);
@@ -841,8 +900,7 @@ mod tests {
 
     #[test]
     fn fsdax_faults_once_per_page_devdax_never() {
-        let fm = Arc::new(FaultModel::new(2 << 20));
-        let r = Region::new(8 << 20, AccessTracker::shared(), true, Some(fm));
+        let r = fsdax_region(8 << 20);
         r.read(0, 64, AccessHint::Auto);
         r.read(100, 64, AccessHint::Auto); // same page: no new fault
         r.read(2 << 20, 64, AccessHint::Auto); // next page
@@ -855,12 +913,107 @@ mod tests {
 
     #[test]
     fn prefault_touches_every_page_up_front() {
-        let fm = Arc::new(FaultModel::new(2 << 20));
-        let r = Region::new(8 << 20, AccessTracker::shared(), true, Some(fm));
+        let r = fsdax_region(8 << 20);
         r.prefault();
         assert_eq!(r.tracker().snapshot().page_faults, 4);
         r.read(0, 64, AccessHint::Auto);
         assert_eq!(r.tracker().snapshot().page_faults, 4); // no new faults
+    }
+
+    #[test]
+    fn zero_length_accesses_touch_no_page() {
+        // Regression: a zero-length access used to charge a fault for the
+        // page under `offset` — at `offset == len` a page past the end.
+        let mut r = fsdax_region(8 << 20);
+        let _ = r.read(8 << 20, 0, AccessHint::Auto);
+        let _ = r.read(2 << 20, 0, AccessHint::Random);
+        r.try_write(8 << 20, b"", AccessHint::Auto).unwrap();
+        r.try_ntstore(0, b"", AccessHint::Auto).unwrap();
+        assert_eq!(r.tracker().snapshot().page_faults, 0);
+        let empty = fsdax_region(0);
+        empty.prefault();
+        assert_eq!(empty.tracker().snapshot().page_faults, 0);
+    }
+
+    #[test]
+    fn racing_first_touches_fault_each_page_exactly_once() {
+        let r = fsdax_region(8 << 20);
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for t in 0..4u64 {
+                let (r, start) = (&r, &start);
+                s.spawn(move || {
+                    start.wait();
+                    // Overlapping ranges: every thread sweeps all four
+                    // pages, starting at a different one.
+                    for i in 0..64u64 {
+                        let offset = ((t << 21) + i * 393_241) % ((8 << 20) - 4096);
+                        r.read(offset, 4096, AccessHint::Random);
+                    }
+                    r.read(0, 8 << 20, AccessHint::Sequential);
+                });
+            }
+        });
+        assert_eq!(r.tracker().snapshot().page_faults, 4);
+    }
+
+    #[test]
+    fn page_bitmap_covers_a_partial_tail_page_and_many_words() {
+        // 130 pages and a half: the bitmap spans three words and the last
+        // page is partial.
+        let page = 4096;
+        let len = 130 * page + page / 2;
+        let r = Region::new(len, AccessTracker::shared(), true, Some(page));
+        r.read(len - 1, 1, AccessHint::Random);
+        assert_eq!(r.tracker().snapshot().page_faults, 1);
+        r.read(60 * page, 10 * page, AccessHint::Sequential); // across a word
+        assert_eq!(r.tracker().snapshot().page_faults, 11);
+        r.prefault();
+        assert_eq!(r.tracker().snapshot().page_faults, 131);
+    }
+
+    #[test]
+    fn access_trace_records_only_while_attached() {
+        use crate::trace::{TraceBuffer, TraceEntry};
+        let mut r = region(4096);
+        let buffer = TraceBuffer::shared(64);
+        r.read(0, 8, AccessHint::Random); // before attach: not recorded
+        r.attach_trace(Arc::clone(&buffer));
+        r.read(64, 8, AccessHint::Random);
+        r.write(128, b"w");
+        r.detach_trace();
+        r.read(192, 8, AccessHint::Random); // detached: not recorded
+        r.attach_trace(Arc::clone(&buffer));
+        r.read(256, 4, AccessHint::Random);
+        let entry = |offset, len, write| TraceEntry { offset, len, write };
+        assert_eq!(
+            buffer.take(),
+            vec![
+                entry(64, 8, false),
+                entry(128, 1, true),
+                entry(256, 4, false)
+            ]
+        );
+    }
+
+    #[test]
+    fn persist_trace_resumes_after_reattach() {
+        use crate::trace::{PersistEvent, PersistenceTrace};
+        let mut r = region(4096);
+        let trace = PersistenceTrace::shared(64);
+        r.attach_persist_trace(Arc::clone(&trace));
+        r.sfence();
+        r.detach_persist_trace();
+        r.ntstore(0, b"x"); // detached: not recorded
+        r.attach_persist_trace(Arc::clone(&trace));
+        r.clwb(0, 1);
+        assert_eq!(
+            trace.take(),
+            vec![
+                PersistEvent::Sfence,
+                PersistEvent::Clwb { offset: 0, len: 1 }
+            ]
+        );
     }
 
     #[test]

@@ -51,8 +51,8 @@ impl AccessTracker {
         self.sfences.fetch_add(1, Ordering::Relaxed);
     }
 
-    pub(crate) fn record_page_fault(&self) {
-        self.page_faults.fetch_add(1, Ordering::Relaxed);
+    pub(crate) fn record_page_faults(&self, pages: u64) {
+        self.page_faults.fetch_add(pages, Ordering::Relaxed);
     }
 
     pub(crate) fn record_crash(&self, lost_lines: u64) {
@@ -188,7 +188,7 @@ mod tests {
         t.record_write(30, true);
         t.record_write(20, false);
         t.record_sfence();
-        t.record_page_fault();
+        t.record_page_faults(1);
         let s = t.snapshot();
         assert_eq!(s.seq_read_bytes, 100);
         assert_eq!(s.rand_read_bytes, 50);
